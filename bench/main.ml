@@ -901,9 +901,8 @@ let engine_throughput () =
    the lib/opt pipeline, on the compiled engine (the regime the check
    sweeps actually run in).  Statements/sec are reported per side, but
    the optimized program executes {e fewer} statements — folding
-   deletes them, DCE removes them, inlining drops call frames — so the
-   honest payoff metric is time per run, which is what the speedup
-   column is. *)
+   deletes them, DCE removes them — so the honest payoff metric is
+   time per run, which is what the speedup column is. *)
 (* Paired A/B timing for the payoff rows: base and optimized trials
    interleave, so a background-load phase inflates both sides instead
    of one, and per-side best-of-7 discards the inflated trials.  The

@@ -64,14 +64,14 @@ let faults_arg =
         ~doc:
           "Inject a deterministic fault plan: comma-separated $(b,seed=N), \
            $(b,xfer=P) (per-attempt transfer CRC-failure probability), \
-           $(b,xfer\\@I) / $(b,xfer\\@I*K) (force K failures at transfer I), \
-           $(b,kill\\@I) (transfer I fails every attempt), $(b,drop\\@TAG) / \
-           $(b,delay\\@TAG:SECS) (COI signal faults), $(b,reset\\@T) (device \
+           $(b,xfer@I) / $(b,xfer@I*K) (force K failures at transfer I), \
+           $(b,kill@I) (transfer I fails every attempt), $(b,drop@TAG) / \
+           $(b,delay@TAG:SECS) (COI signal faults), $(b,reset@T) (device \
            reset at time T), $(b,myo-stall=P:SECS), and recovery-policy \
            overrides $(b,retries=N), $(b,backoff=BASE:CEIL), $(b,timeout=T), \
            $(b,dead-after=N), $(b,fallback)/$(b,no-fallback), \
            $(b,slowdown=F), $(b,reset-cost=S).  A clause prefixed \
-           $(b,devN:) (e.g. $(b,dev1:kill\\@0)) applies only to device N \
+           $(b,devN:) (e.g. $(b,dev1:kill@0)) applies only to device N \
            of a multi-device run; unprefixed fault clauses apply to every \
            device, and policy/seed clauses are always global")
 
@@ -162,7 +162,7 @@ let midend_passes_arg =
     & info [ "passes" ] ~docv:"PASSES"
         ~doc:
           "Comma-separated subset of mid-end passes to run, in pipeline \
-           order (implies $(b,-O)): inline, fold, licm, cse, strength, dce")
+           order (implies $(b,-O)): fold, dce")
 
 let midend_report_flag =
   Arg.(
@@ -237,8 +237,8 @@ let optimize_cmd =
   let o =
     midend_flag
       ~doc:
-        "Run the classic optimizer mid-end (inline, fold, licm, cse, \
-         strength, dce) before the source-to-source pipeline"
+        "Run the classic optimizer mid-end (fold, dce) before the \
+         source-to-source pipeline"
   in
   let residency =
     residency_flag

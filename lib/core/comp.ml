@@ -87,7 +87,7 @@ let optimize ?opt ?obs ?(residency = false) ?(passes = all_passes)
      of its input, whichever domain runs it and in whatever order *)
   Transforms.Util.reset_fresh ();
   (* the classic mid-end runs first so the paper's source-to-source
-     passes see cleaned-up code (folded bounds, hoisted invariants) *)
+     passes see cleaned-up code (folded bounds, dead code removed) *)
   let prog =
     match opt with
     | None -> prog

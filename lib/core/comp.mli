@@ -66,7 +66,7 @@ val optimize :
 
     [opt] runs the classic optimizer mid-end ({!Opt.run}) with the
     given passes {e before} the source-to-source pipeline, so the
-    paper's transforms see folded bounds and hoisted invariants; it is
+    paper's transforms see folded bounds and no dead code; it is
     off by default.  With [obs], the mid-end records its
     [opt.<pass>.fired] / [opt.<pass>.blocked.<reason>] counters there
     (rendered by {!Opt.report}).

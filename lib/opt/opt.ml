@@ -1,13 +1,10 @@
 (** The optimizer mid-end: a pass pipeline over the typed MiniC AST.
 
-    Pass order is fixed: inlining first (it feeds call-free
-    expressions to everything downstream), then constant
-    folding/propagation (literals enable branch elimination and
-    strength candidates), loop-invariant code motion, CSE, strength
-    reduction, and dead-code elimination last to sweep up what the
-    others left behind.
+    Pass order is fixed: constant folding/propagation first (literals
+    enable branch elimination), then dead-code elimination to sweep up
+    the dead branches, declarations and statements folding left behind.
 
-    Every pass is gated by the effect analysis in [Minic.Ast]
+    Both passes are gated by the effect analysis in [Minic.Ast]
     ([may_trap] / [has_call] / [writes]): a transformation that cannot
     prove an expression effect-free leaves it alone and counts the
     refusal.  With an [Obs] sink attached, each pass records
@@ -15,39 +12,24 @@
     with none, the pipeline is silent and allocation-light, which is
     what the differential checker uses.
 
-    The program must already typecheck: passes consult static types
-    (through [Minic.Typecheck.type_of_expr]) when they introduce
-    temporaries. *)
+    The program must already typecheck: folding consults static types
+    (through [Minic.Typecheck.type_of_expr]) before it applies an
+    integer identity such as [e + 0]. *)
 
-type pass = Inline | Fold | Licm | Cse | Strength | Dce
+type pass = Fold | Dce
 
-let all_passes = [ Inline; Fold; Licm; Cse; Strength; Dce ]
-
-let pass_name = function
-  | Inline -> "inline"
-  | Fold -> "fold"
-  | Licm -> "licm"
-  | Cse -> "cse"
-  | Strength -> "strength"
-  | Dce -> "dce"
+let all_passes = [ Fold; Dce ]
+let pass_name = function Fold -> "fold" | Dce -> "dce"
 
 let pass_of_name = function
-  | "inline" -> Some Inline
   | "fold" -> Some Fold
-  | "licm" -> Some Licm
-  | "cse" -> Some Cse
-  | "strength" -> Some Strength
   | "dce" -> Some Dce
   | _ -> None
 
 let pass_names = List.map pass_name all_passes
 
 let apply ctx prog = function
-  | Inline -> Inline.run ctx prog
   | Fold -> Constfold.run ctx prog
-  | Licm -> Licm.run ctx prog
-  | Cse -> Cse.run ctx prog
-  | Strength -> Strength.run ctx prog
   | Dce -> Dce.run ctx prog
 
 (** Run the pipeline.  [passes] defaults to {!all_passes} in pipeline

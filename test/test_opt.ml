@@ -90,6 +90,41 @@ let fires ~name ~src ~pass ~expect =
         expect;
       assert_equiv name prog prog')
 
+(* An inline-source refusal: [pass] alone must count [reason], keep the
+   [survives] fragments, and preserve behaviour. *)
+let blocks ~name ~src ~pass ~reason ~survives =
+  tc name (fun () ->
+      let prog = typed src in
+      let obs = Obs.create () in
+      let prog' = Opt.run ~obs ~passes:[ pass ] prog in
+      let blocked =
+        Printf.sprintf "opt.%s.blocked.%s" (Opt.pass_name pass) reason
+      in
+      if counter obs blocked < 1 then
+        Alcotest.failf "expected %s to be counted; report:\n%s" blocked
+          (Opt.report obs);
+      let printed = Minic.Pretty.program_to_string prog' in
+      List.iter
+        (fun frag ->
+          if not (contains printed frag) then
+            Alcotest.failf "%s must survive in:\n%s" frag printed)
+        survives;
+      assert_equiv name prog prog')
+
+(* [pass] alone leaves the [survives] fragments in place (a fact it
+   must not use), and behaviour is preserved. *)
+let keeps ~name ~src ~pass ~survives =
+  tc name (fun () ->
+      let prog = typed src in
+      let prog' = Opt.run ~passes:[ pass ] prog in
+      let printed = Minic.Pretty.program_to_string prog' in
+      List.iter
+        (fun frag ->
+          if not (contains printed frag) then
+            Alcotest.failf "%s must survive in:\n%s" frag printed)
+        survives;
+      assert_equiv name prog prog')
+
 let suite =
   [
     (* --- each pass fires where it is allowed to --- *)
@@ -98,61 +133,90 @@ let suite =
         "int main(void) { int a = 2 + 3; int b = a * a; print_int(b + 1); \
          return 0; }"
       ~pass:Opt.Fold ~expect:[ "26" ];
-    fires ~name:"licm: invariant subexpression hoists"
-      ~src:
-        "int main(void) { int a = 3; int n = 4; int s = 0; for (i = 0; i < \
-         n; i++) { s = s + (a * a + n); } print_int(s); return 0; }"
-      ~pass:Opt.Licm
-      ~expect:[ "licm__" ];
-    fires ~name:"cse: repeated pure subexpression shares a temp"
-      ~src:
-        "int main(void) { int u = 2; int v = 3; int w = 4; int p = (u + v) \
-         * w; int q = (u + v) * w; int r = (u + v) * w; print_int(p + q + \
-         r); return 0; }"
-      ~pass:Opt.Cse
-      ~expect:[ "cse__" ];
-    fires ~name:"strength: k * i becomes an accumulator"
-      ~src:
-        "int main(void) { int s = 0; int t = 0; int u = 0; for (i = 0; i < \
-         6; i++) { s = s + 3 * i; t = t + 3 * i; u = u + 3 * i; } \
-         print_int(s + t + u); return 0; }"
-      ~pass:Opt.Strength
-      ~expect:[ "sr__" ];
     fires ~name:"dce: dead declaration and dead branch vanish"
       ~src:
         "int main(void) { int dead = 41; if (1) { print_int(1); } else { \
          print_int(2); } return 0; }"
       ~pass:Opt.Dce
       ~expect:[ "print_int(1)" ];
-    fires ~name:"inline: pure one-return callee substitutes"
+    fires ~name:"fold: mixed int/float arithmetic promotes to float"
+      ~src:"int main(void) { print_float(1 + 0.5); return 0; }"
+      ~pass:Opt.Fold ~expect:[ "print_float(1.5)" ];
+    fires ~name:"fold: literal comparison becomes a boolean"
       ~src:
-        "int sq(int x) { return x * x; } int main(void) { print_int(sq(7)); \
+        "int main(void) { if (3 < 4) { print_int(1); } else { print_int(2); \
+         } return 0; }"
+      ~pass:Opt.Fold ~expect:[ "if (true)" ];
+    fires ~name:"fold: store coercion truncates a float into an int"
+      ~src:"int main(void) { int x = 2.7; print_int(x); return 0; }"
+      ~pass:Opt.Fold ~expect:[ "print_int(2)" ];
+    fires ~name:"fold: literal builtins imin/imax/abs evaluate"
+      ~src:
+        "int main(void) { print_int(imin(3, 9) + imax(3, 9) + abs(-4)); \
          return 0; }"
-      ~pass:Opt.Inline
-      ~expect:[ "7 * 7" ];
+      ~pass:Opt.Fold ~expect:[ "print_int(16)" ];
+    fires ~name:"fold: literal global propagates into main"
+      ~src:"int g = 5;\nint main(void) { print_int(g * 2); return 0; }"
+      ~pass:Opt.Fold ~expect:[ "print_int(10)" ];
+    fires ~name:"fold: agreeing if arms propagate past the join"
+      ~src:
+        "int main(int n) { int x = 0; if (n > 0) { x = 3; } else { x = 3; } \
+         print_int(x + 1); return 0; }"
+      ~pass:Opt.Fold ~expect:[ "print_int(4)" ];
+    keeps ~name:"fold: a variable the loop writes is not propagated"
+      ~src:
+        "int main(void) { int s = 0; for (int i = 0; i < 4; i = i + 1) { s = \
+         s + i; } print_int(s); return 0; }"
+      ~pass:Opt.Fold ~survives:[ "print_int(s)"; "s = s + i" ];
+    keeps ~name:"fold: float + 0 is not an identity"
+      ~src:
+        "float h(float x) { return x + 0; }\n\
+         int main(void) { print_float(h(-0.0)); return 0; }"
+      ~pass:Opt.Fold ~survives:[ "x + 0" ];
+    blocks ~name:"fold: false && call keeps the call"
+      ~src:
+        "int f(int x) { print_int(x); return x; }\n\
+         int main(void) { if (false && f(1) > 0) { print_int(2); } return 0; }"
+      ~pass:Opt.Fold ~reason:"effect" ~survives:[ "f(1)" ];
+    fires ~name:"dce: statements after return are unreachable"
+      ~src:"int main(void) { print_int(1); return 0; print_int(2); }"
+      ~pass:Opt.Dce ~expect:[ "return 0" ];
+    fires ~name:"dce: never-tripping loops vanish"
+      ~src:
+        "int main(void) { while (0) { print_int(1); } for (int i = 5; i < 2; \
+         i = i + 1) { print_int(i); } print_int(3); return 0; }"
+      ~pass:Opt.Dce ~expect:[ "print_int(3)" ];
+    fires ~name:"dce: a pragma outlives its dead child"
+      ~src:
+        "int main(void) { int a[4]; for (int i = 0; i < 4; i = i + 1) { a[i] = \
+         i; }\n\
+         #pragma offload target(mic:0) in(a[0:4])\n\
+         { int unused = 3; }\n\
+         print_int(a[2]); return 0; }"
+      ~pass:Opt.Dce ~expect:[ "#pragma offload" ];
+    keeps ~name:"dce: an unused declaration with a call initializer stays"
+      ~src:
+        "int f(int x) { print_int(x); return x; }\n\
+         int main(void) { int unused = f(7); print_int(1); return 0; }"
+      ~pass:Opt.Dce ~survives:[ "f(7)" ];
+    tc "pass names round-trip and the removed passes are unknown" (fun () ->
+        List.iter
+          (fun p ->
+            if Opt.pass_of_name (Opt.pass_name p) <> Some p then
+              Alcotest.failf "%s does not round-trip" (Opt.pass_name p))
+          Opt.all_passes;
+        Alcotest.(check (list string)) "pass_names" [ "fold"; "dce" ]
+          Opt.pass_names;
+        List.iter
+          (fun n ->
+            if Opt.pass_of_name n <> None then
+              Alcotest.failf "%s must not name a pass" n)
+          [ "inline"; "licm"; "cse"; "strength"; "" ]);
     (* --- the legality corpus: refusals, counted and preserved --- *)
-    refusal ~file:"opt_cse_alias.mc" ~pass:Opt.Cse ~reason:"aliased-store"
-      ~survives:[ "a[0] + a[1]" ];
-    refusal ~file:"opt_licm_callbound.mc" ~pass:Opt.Licm
-      ~reason:"effectful-bound"
-      ~survives:[ "a + a + a" ];
     refusal ~file:"opt_fold_trap.mc" ~pass:Opt.Fold ~reason:"div-by-zero"
       ~survives:[ "1 / 0" ];
     refusal ~file:"opt_dce_trap.mc" ~pass:Opt.Dce ~reason:"trapping"
       ~survives:[ "10 / d" ];
-    refusal ~file:"opt_strength_continue.mc" ~pass:Opt.Strength
-      ~reason:"continue"
-      ~survives:[ "4 * i" ];
-    refusal ~file:"opt_cse_loop.mc" ~pass:Opt.Cse ~reason:"loop-body"
-      ~survives:[ "a * b + c" ];
-    refusal ~file:"opt_licm_nested.mc" ~pass:Opt.Licm ~reason:"nested-loop"
-      ~survives:[ "i * i + n" ];
-    refusal ~file:"opt_strength_single.mc" ~pass:Opt.Strength
-      ~reason:"unprofitable"
-      ~survives:[ "5 * i" ];
-    refusal ~file:"opt_inline_impure.mc" ~pass:Opt.Inline
-      ~reason:"impure-arg"
-      ~survives:[ "sq(a[0])" ];
     (* --- the pipeline end to end --- *)
     tc "full pipeline preserves the corpus programs" (fun () ->
         List.iter
@@ -161,10 +225,8 @@ let suite =
             assert_equiv file prog (Opt.run prog))
           [
             "fig05a_blackscholes.mc"; "fig06_streamcluster.mc";
-            "fig07_srad.mc"; "fig08_patterns.mc"; "opt_cse_alias.mc";
-            "opt_licm_callbound.mc"; "opt_fold_trap.mc"; "opt_dce_trap.mc";
-            "opt_strength_continue.mc"; "opt_inline_impure.mc";
-            "opt_cse_loop.mc"; "opt_licm_nested.mc"; "opt_strength_single.mc";
+            "fig07_srad.mc"; "fig08_patterns.mc"; "opt_fold_trap.mc";
+            "opt_dce_trap.mc";
           ]);
     tc "Comp.optimize ~opt runs the mid-end before the COMP passes" (fun () ->
         let prog = typed (corpus "fig05a_blackscholes.mc") in
