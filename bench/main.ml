@@ -372,6 +372,7 @@ let micro () =
   let prog = Minic.Parser.program_of_string_exn source in
   let region = List.hd (Analysis.Offload_regions.offloaded prog) in
   let shape = (Workloads.Registry.find_exn "blackscholes").shape in
+  let kmeans = Workloads.Registry.find_exn "kmeans" in
   let img, objs =
     let t = Runtime.Segbuf.create ~seg_cells:256 () in
     let objs =
@@ -403,6 +404,11 @@ let micro () =
              ignore
                (Runtime.Schedule_gen.region_time cfg shape
                   (Runtime.Plan.streamed ~nblocks:20 ()))));
+      (* the 1,831-task graph behind serve's simulate requests *)
+      Test.make ~name:"simulate kmeans mic-optimized (+obs)"
+        (Staged.stage (fun () ->
+             ignore
+               (Comp.simulate ~obs:(Obs.create ()) kmeans Comp.Mic_optimized)));
       Test.make ~name:"xptr delta translation (512 ptrs)"
         (Staged.stage (fun () ->
              Array.iter

@@ -73,6 +73,11 @@ type direction = H2d | D2h
 
 let kind_of_direction = function H2d -> Obs.H2d | D2h -> Obs.D2h
 
+(* counter and histogram names per direction, built once *)
+let transfer_names =
+  Obs.per_kind (fun k ->
+      ("cost.transfers." ^ Obs.kind_name k, "xfer_bytes." ^ Obs.kind_name k))
+
 (** One DMA transfer of [bytes] over PCIe.  With [?obs], each model
     evaluation is counted ([cost.transfers.h2d]/[.d2h]) and the
     requested size recorded in a [xfer_bytes.*] histogram — the
@@ -83,9 +88,9 @@ let transfer_time ?obs ?(dev = 0) (cfg : Config.t) dir ~bytes =
   (match obs with
   | None -> ()
   | Some o ->
-      let k = Obs.kind_name (kind_of_direction dir) in
-      Obs.incr o ("cost.transfers." ^ k);
-      Obs.observe o ("xfer_bytes." ^ k) (Float.max 0. bytes));
+      let counter, histogram = transfer_names (kind_of_direction dir) in
+      Obs.incr o counter;
+      Obs.observe o histogram (Float.max 0. bytes));
   let bw =
     match dir with
     | H2d -> cfg.pcie.bw_h2d_gbs

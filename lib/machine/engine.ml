@@ -22,30 +22,32 @@ type result = {
 
 exception Cycle of string
 
-(* binary min-heap of (ready_time, id, task): schedules run to tens of
-   thousands of tasks (merged streamcluster: repeats x blocks), so the
-   scheduler must be O(n log n) *)
+(* binary min-heap of task indices ordered by (ready time, id):
+   schedules run to tens of thousands of tasks (merged streamcluster:
+   repeats x blocks), so the scheduler must be O(n log n).  A task's
+   ready time is final once it is pushed, so the heap stores bare
+   indices and reads the keys from the scheduler's arrays. *)
 module Heap = struct
-  type elt = { key : float; id : int; task : Task.t }
+  type t = {
+    mutable a : int array;
+    mutable size : int;
+    key : float array;
+    id : int array;
+  }
 
-  type t = { mutable a : elt array; mutable size : int }
+  let create ~key ~id = { a = Array.make 64 0; size = 0; key; id }
 
-  let dummy =
-    {
-      key = 0.;
-      id = 0;
-      task =
-        { Task.id = 0; label = ""; resource = Task.Cpu_exec; duration = 0.;
-          deps = []; kind = None; bytes = 0.; reset_xfer_s = 0. };
-    }
+  let less h x y =
+    h.key.(x) < h.key.(y) || (h.key.(x) = h.key.(y) && h.id.(x) < h.id.(y))
 
-  let create () = { a = Array.make 64 dummy; size = 0 }
-
-  let less x y = x.key < y.key || (x.key = y.key && x.id < y.id)
+  let swap a i j =
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
 
   let push h e =
     if h.size = Array.length h.a then begin
-      let bigger = Array.make (2 * h.size) dummy in
+      let bigger = Array.make (2 * h.size) 0 in
       Array.blit h.a 0 bigger 0 h.size;
       h.a <- bigger
     end;
@@ -56,39 +58,53 @@ module Heap = struct
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      less h.a.(!i) h.a.(p)
+      less h h.a.(!i) h.a.(p)
     do
       let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
+      swap h.a p !i;
       i := p
     done
 
+  (* the minimum; the heap must be non-empty *)
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.size <- h.size - 1;
-      h.a.(0) <- h.a.(h.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && less h.a.(l) h.a.(!smallest) then smallest := l;
-        if r < h.size && less h.a.(r) h.a.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.a.(!smallest) in
-          h.a.(!smallest) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
+    let top = h.a.(0) in
+    h.size <- h.size - 1;
+    h.a.(0) <- h.a.(h.size);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.size && less h h.a.(l) h.a.(!smallest) then smallest := l;
+      if r < h.size && less h h.a.(r) h.a.(!smallest) then smallest := r;
+      if !smallest <> !i then begin
+        swap h.a !smallest !i;
+        i := !smallest
+      end
+      else continue := false
+    done;
+    top
 end
+
+(* Tables keyed by resource without polymorphic hashing: the scheduler
+   interns resources to indices into its free-time array, and
+   [result_of_placed] sums busy time per resource. *)
+module Res = Hashtbl.Make (struct
+  type t = Task.resource
+
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | Cpu_exec, Cpu_exec -> true
+    | Mic_exec (d, s), Mic_exec (d', s') -> d = d' && s = s'
+    | Pcie_h2d d, Pcie_h2d d' | Pcie_d2h d, Pcie_d2h d' -> d = d'
+    | _ -> false
+
+  let hash : t -> int = function
+    | Cpu_exec -> 0
+    | Mic_exec (d, s) -> (((d * 65599) + s) * 4) + 1
+    | Pcie_h2d d -> (d * 4) + 2
+    | Pcie_d2h d -> (d * 4) + 3
+end)
 
 (* Synthetic placed entry covering the recovery tail of a faulted task
    (retransfers' backoff, device resets): accounted as kind [Retry] so
@@ -156,143 +172,197 @@ let faulted_times fleet (t : Task.t) ~start =
 
 (** Assemble a {!result} from already-placed tasks (in completion
     order): makespan is the latest finish, busy rows cover
-    {!Task.base_resources} plus every resource the placements touch.
-    Exposed so composite schedulers (e.g. block migration) can merge
+    {!Task.base_resources} plus every resource the placements touch,
+    each summed in completion order in one pass.  Exposed so composite schedulers (e.g. block migration) can merge
     placements from several engine runs into one report. *)
 let result_of_placed (placed : placed list) : result =
+  let sums = Res.create 8 in
   let makespan =
-    List.fold_left (fun acc p -> Float.max acc p.finish) 0. placed
+    List.fold_left
+      (fun acc p ->
+        let r = p.task.Task.resource in
+        (match Res.find_opt sums r with
+        | Some s -> s := !s +. p.task.Task.duration
+        | None ->
+            (* [0. +. d], as a fold from [0.] adds: -0. sums to 0. *)
+            Res.add sums r (ref (0. +. p.task.Task.duration)));
+        Float.max acc p.finish)
+      0. placed
   in
-  let rows = Task.resources_of (List.map (fun p -> p.task) placed) in
   let busy =
-    List.map
-      (fun r ->
-        ( r,
-          List.fold_left
-            (fun acc p ->
-              if p.task.Task.resource = r then acc +. p.task.Task.duration
-              else acc)
-            0. placed ))
-      rows
+    Task.report_rows (Res.fold (fun r _ acc -> r :: acc) sums [])
+    |> List.map (fun r ->
+           (r, match Res.find_opt sums r with Some s -> !s | None -> 0.))
   in
   { placed; makespan; busy }
 
-let schedule ?obs ?faults (tasks : Task.t list) : result =
-  let n = List.length tasks in
-  let by_id = Hashtbl.create (max 16 n) in
-  List.iter (fun (t : Task.t) -> Hashtbl.replace by_id t.id t) tasks;
-  List.iter
-    (fun (t : Task.t) ->
+(* The dependency graph in dense form.  Task [i] of the input list has
+   index [i]; [dependents.(off.(d)) .. dependents.(off.(d + 1) - 1)]
+   are the indices waiting on [d], latest-listed first, and
+   [indegree.(i)] counts [i]'s distinct dependencies. *)
+type graph = {
+  tasks : Task.t array;
+  ids : int array;
+  off : int array;
+  dependents : int array;
+  indegree : int array;
+}
+
+(* id -> index: an array when the ids are a permutation of [0, n) (as
+   {!Task.builder} produces), a table otherwise; [-1] for unknown *)
+let index_of_ids ids =
+  let n = Array.length ids in
+  let dup id = invalid_arg (Printf.sprintf "duplicate task id %d" id) in
+  if Array.for_all (fun id -> id >= 0 && id < n) ids then begin
+    let ix = Array.make n (-1) in
+    Array.iteri
+      (fun i id ->
+        if ix.(id) >= 0 then dup id;
+        ix.(id) <- i)
+      ids;
+    fun id -> if id >= 0 && id < n then ix.(id) else -1
+  end
+  else begin
+    let ix = Hashtbl.create n in
+    Array.iteri
+      (fun i id ->
+        if Hashtbl.mem ix id then dup id;
+        Hashtbl.replace ix id i)
+      ids;
+    fun id -> Option.value (Hashtbl.find_opt ix id) ~default:(-1)
+  end
+
+let graph_of (tasks : Task.t list) =
+  let tasks = Array.of_list tasks in
+  let n = Array.length tasks in
+  let ids = Array.map (fun (t : Task.t) -> t.id) tasks in
+  let index_of = index_of_ids ids in
+  (* [stamp.(d) = mark] once [d] is counted for the current task:
+     repeated deps count once *)
+  let stamp = Array.make n (-1) in
+  let off = Array.make (n + 1) 0 in
+  let indegree = Array.make n 0 in
+  Array.iteri
+    (fun i (t : Task.t) ->
       List.iter
-        (fun d ->
-          if not (Hashtbl.mem by_id d) then
+        (fun dep ->
+          let d = index_of dep in
+          if d < 0 then
             invalid_arg
-              (Printf.sprintf "task %d depends on unknown task %d" t.id d))
+              (Printf.sprintf "task %d depends on unknown task %d" t.id dep);
+          if stamp.(d) <> i then begin
+            stamp.(d) <- i;
+            indegree.(i) <- indegree.(i) + 1;
+            off.(d + 1) <- off.(d + 1) + 1
+          end)
         t.deps)
     tasks;
-  (* dependents and in-degrees for Kahn-style readiness tracking *)
-  let dependents = Hashtbl.create (max 16 n) in
-  let indegree = Hashtbl.create (max 16 n) in
-  List.iter
-    (fun (t : Task.t) ->
-      Hashtbl.replace indegree t.id (List.length (List.sort_uniq compare t.deps));
+  for d = 1 to n do
+    off.(d) <- off.(d) + off.(d - 1)
+  done;
+  (* fill each row from its end, so later tasks come first *)
+  let fill = Array.sub off 1 n in
+  let dependents = Array.make off.(n) 0 in
+  Array.iteri
+    (fun i (t : Task.t) ->
       List.iter
-        (fun d ->
-          Hashtbl.replace dependents d
-            (t.id :: Option.value (Hashtbl.find_opt dependents d) ~default:[]))
-        (List.sort_uniq compare t.deps))
+        (fun dep ->
+          let d = index_of dep in
+          if stamp.(d) <> n + i then begin
+            stamp.(d) <- n + i;
+            fill.(d) <- fill.(d) - 1;
+            dependents.(fill.(d)) <- i
+          end)
+        t.deps)
     tasks;
-  let ready_at = Hashtbl.create (max 16 n) in
-  let heap = Heap.create () in
-  List.iter
-    (fun (t : Task.t) ->
-      if Hashtbl.find indegree t.id = 0 then begin
-        Hashtbl.replace ready_at t.id 0.;
-        Heap.push heap { Heap.key = 0.; id = t.id; task = t }
-      end)
-    tasks;
-  let finish = Hashtbl.create (max 16 n) in
-  let resource_free = Hashtbl.create 8 in
-  let free_of r =
-    Option.value (Hashtbl.find_opt resource_free r) ~default:0.
+  { tasks; ids; off; dependents; indegree }
+
+let span_s_name = Obs.per_kind (fun k -> "span_s." ^ Obs.kind_name k)
+
+let schedule ?obs ?faults (tasks : Task.t list) : result =
+  let g = graph_of tasks in
+  let n = Array.length g.tasks in
+  let ix = Res.create 8 in
+  let res =
+    Array.map
+      (fun (t : Task.t) ->
+        match Res.find_opt ix t.resource with
+        | Some i -> i
+        | None ->
+            let i = Res.length ix in
+            Res.add ix t.resource i;
+            i)
+      g.tasks
   in
+  let free = Array.make (Res.length ix) 0. in
+  let ready_at = Array.make n 0. in
+  let indegree = g.indegree in
+  let heap = Heap.create ~key:ready_at ~id:g.ids in
+  for i = 0 to n - 1 do
+    if indegree.(i) = 0 then Heap.push heap i
+  done;
   let placed = ref [] in
   let scheduled = ref 0 in
-  let rec drain () =
-    match Heap.pop heap with
+  while heap.Heap.size > 0 do
+    let i = Heap.pop heap in
+    let t = g.tasks.(i) and r = res.(i) in
+    let start = Float.max ready_at.(i) free.(r) in
+    let busy, recovery =
+      match faults with
+      | None -> (t.Task.duration, 0.)
+      | Some fleet -> faulted_times fleet t ~start
+    in
+    let fin = start +. busy +. recovery in
+    free.(r) <- fin;
+    placed :=
+      { task = { t with Task.duration = busy }; start; finish = start +. busy }
+      :: !placed;
+    if recovery > 0. then
+      placed :=
+        { task = recovery_task t ~duration:recovery; start = start +. busy;
+          finish = fin }
+        :: !placed;
+    (match obs with
     | None -> ()
-    | Some { Heap.key = ready; task = t; _ } ->
-        let start = Float.max ready (free_of t.Task.resource) in
-        let busy, recovery =
-          match faults with
-          | None -> (t.Task.duration, 0.)
-          | Some fleet -> faulted_times fleet t ~start
+    | Some o ->
+        (* every placed task becomes one span on the simulated clock:
+           the event trace behind the profile breakdown *)
+        let kind =
+          match t.Task.kind with
+          | Some k -> k
+          | None -> Task.default_kind t.Task.resource
         in
-        let fin = start +. busy +. recovery in
-        Hashtbl.replace finish t.Task.id fin;
-        Hashtbl.replace resource_free t.Task.resource fin;
-        placed := { task = { t with Task.duration = busy }; start;
-                    finish = start +. busy }
-                  :: !placed;
-        if recovery > 0. then
-          placed :=
-            { task = recovery_task t ~duration:recovery;
-              start = start +. busy; finish = fin }
-            :: !placed;
-        (match obs with
-        | None -> ()
-        | Some o ->
-            (* every placed task becomes one span on the simulated
-               clock: the event trace behind the profile breakdown *)
-            let kind =
-              match t.Task.kind with
-              | Some k -> k
-              | None -> Task.default_kind t.Task.resource
-            in
-            let sid =
-              Obs.span_begin ~bytes:t.Task.bytes o kind ~label:t.Task.label
-                ~start
-            in
-            Obs.span_end o sid ~stop:(start +. busy);
-            Obs.incr o "engine.tasks";
-            Obs.observe o ("span_s." ^ Obs.kind_name kind) busy;
-            if
-              recovery > 0.
-              && (match t.Task.resource with
-                 | Task.Mic_exec _ -> true
-                 | _ -> false)
-              && t.Task.reset_xfer_s > 0.
-            then begin
-              (* a reset wiped device-resident data this kernel relied
-                 on; the recovery tail includes its re-transfer *)
-              Obs.incr o "residency.reset_retransfers";
-              Obs.observe o "residency.reset_xfer_s" t.Task.reset_xfer_s
-            end;
-            if busy +. recovery > t.Task.duration then begin
-              Obs.span o Obs.Retry
-                ~label:(t.Task.label ^ "+recovery")
-                ~start:(start +. busy) ~stop:fin;
-              Obs.observe o "fault.recovery_s"
-                (busy +. recovery -. t.Task.duration)
-            end);
-        incr scheduled;
-        List.iter
-          (fun d_id ->
-            let deg = Hashtbl.find indegree d_id - 1 in
-            Hashtbl.replace indegree d_id deg;
-            let dep_task : Task.t = Hashtbl.find by_id d_id in
-            let r =
-              Float.max
-                (Option.value (Hashtbl.find_opt ready_at d_id) ~default:0.)
-                fin
-            in
-            Hashtbl.replace ready_at d_id r;
-            if deg = 0 then
-              Heap.push heap { Heap.key = r; id = d_id; task = dep_task })
-          (Option.value (Hashtbl.find_opt dependents t.Task.id) ~default:[]);
-        drain ()
-  in
-  drain ();
+        Obs.span ~bytes:t.Task.bytes o kind ~label:t.Task.label ~start
+          ~stop:(start +. busy);
+        Obs.incr o "engine.tasks";
+        Obs.observe o (span_s_name kind) busy;
+        if
+          recovery > 0.
+          && (match t.Task.resource with
+             | Task.Mic_exec _ -> true
+             | _ -> false)
+          && t.Task.reset_xfer_s > 0.
+        then begin
+          (* a reset wiped device-resident data this kernel relied on;
+             the recovery tail includes its re-transfer *)
+          Obs.incr o "residency.reset_retransfers";
+          Obs.observe o "residency.reset_xfer_s" t.Task.reset_xfer_s
+        end;
+        if busy +. recovery > t.Task.duration then begin
+          Obs.span o Obs.Retry
+            ~label:(t.Task.label ^ "+recovery")
+            ~start:(start +. busy) ~stop:fin;
+          Obs.observe o "fault.recovery_s"
+            (busy +. recovery -. t.Task.duration)
+        end);
+    incr scheduled;
+    for k = g.off.(i) to g.off.(i + 1) - 1 do
+      let d = g.dependents.(k) in
+      indegree.(d) <- indegree.(d) - 1;
+      ready_at.(d) <- Float.max ready_at.(d) fin;
+      if indegree.(d) = 0 then Heap.push heap d
+    done
+  done;
   if !scheduled <> n then
     raise
       (Cycle

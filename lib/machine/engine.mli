@@ -26,8 +26,10 @@ val result_of_placed : placed list -> result
     placements from several engine runs into one report. *)
 
 val schedule : ?obs:Obs.t -> ?faults:Fault.fleet -> Task.t list -> result
-(** Raises {!Cycle} on cyclic dependencies and [Invalid_argument] on
-    dangling ones.  With [?obs], every placed task is recorded as one
+(** Task ids must be unique: a repeated id raises [Invalid_argument
+    "duplicate task id N"], as does a dependency on an id no task has.
+    Raises {!Cycle} on cyclic dependencies; a dependency listed twice
+    counts once.  With [?obs], every placed task is recorded as one
     span (kind from the task, or {!Task.default_kind} of its resource)
     plus an [engine.tasks] counter and per-kind duration histograms.
 

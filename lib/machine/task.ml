@@ -62,16 +62,13 @@ let default_kind = function
   | Pcie_h2d _ -> Obs.H2d
   | Pcie_d2h _ -> Obs.D2h
 
-(** The resources a report should show for [tasks]: the single-device
-    base view plus everything the tasks actually use, in canonical
-    order.  One-device schedules thus keep the classic four rows. *)
-let resources_of (tasks : t list) =
-  let seen = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace seen r ()) base_resources;
-  List.iter (fun t -> Hashtbl.replace seen t.resource ()) tasks;
-  List.sort
+(** The report rows for resources [rs]: the single-device base view
+    plus every resource in [rs], deduplicated, in canonical order.
+    One-device schedules thus keep the classic four rows. *)
+let report_rows rs =
+  List.sort_uniq
     (fun a b -> compare (resource_rank a) (resource_rank b))
-    (Hashtbl.fold (fun r () acc -> r :: acc) seen [])
+    (base_resources @ rs)
 
 (** Monotonic id supply for building task graphs. *)
 type builder = { mutable next_id : int; mutable tasks : t list }

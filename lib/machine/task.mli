@@ -38,9 +38,10 @@ type t = {
 val default_kind : resource -> Obs.kind
 (** The kind the engine assumes for an untagged task on a resource. *)
 
-val resources_of : t list -> resource list
-(** {!base_resources} plus every resource the tasks use, in canonical
-    report order (cpu, kernels by device/stream, links by device). *)
+val report_rows : resource list -> resource list
+(** {!base_resources} plus every resource in the list, deduplicated,
+    in canonical report order (cpu, kernels by device/stream, links by
+    device). *)
 
 (** Monotonic id supply for building task graphs. *)
 type builder

@@ -59,6 +59,25 @@ let kind_of_name = function
   | "host" -> Some Host
   | _ -> None
 
+(* position in [all_kinds] *)
+let kind_index = function
+  | H2d -> 0
+  | D2h -> 1
+  | Kernel -> 2
+  | Launch -> 3
+  | Signal -> 4
+  | Page_fault -> 5
+  | Seg_alloc -> 6
+  | Repack -> 7
+  | Retry -> 8
+  | Host -> 9
+
+let nkinds = List.length all_kinds
+
+let per_kind f =
+  let table = Array.of_list (List.map f all_kinds) in
+  fun k -> table.(kind_index k)
+
 (** A completed span on the simulated clock. *)
 type span = {
   span_kind : kind;
@@ -233,26 +252,27 @@ let span_begin ?(bytes = 0.) t kind ~label ~start =
       o_start = start };
   id
 
+(** Record a complete span (begin + end in one call); it never enters
+    the open-span table. *)
+let span ?(bytes = 0.) t kind ~label ~start ~stop =
+  t.spans <-
+    {
+      span_kind = kind;
+      span_label = label;
+      span_bytes = bytes;
+      span_start = start;
+      span_stop = Float.max stop start;
+    }
+    :: t.spans;
+  t.nspans <- t.nspans + 1
+
 let span_end t id ~stop =
   match Hashtbl.find_opt t.open_spans id with
   | None -> invalid_arg (Printf.sprintf "Obs.span_end: span %d not open" id)
   | Some o ->
       Hashtbl.remove t.open_spans id;
-      t.spans <-
-        {
-          span_kind = o.o_kind;
-          span_label = o.o_label;
-          span_bytes = o.o_bytes;
-          span_start = o.o_start;
-          span_stop = Float.max stop o.o_start;
-        }
-        :: t.spans;
-      t.nspans <- t.nspans + 1
-
-(** Record a complete span (begin + end in one call). *)
-let span ?bytes t kind ~label ~start ~stop =
-  let id = span_begin ?bytes t kind ~label ~start in
-  span_end t id ~stop
+      span ~bytes:o.o_bytes t o.o_kind ~label:o.o_label ~start:o.o_start
+        ~stop
 
 let spans t = List.rev t.spans
 
@@ -267,26 +287,32 @@ type kind_stat = { ks_count : int; ks_bytes : float; ks_seconds : float }
 
 let empty_stat = { ks_count = 0; ks_bytes = 0.; ks_seconds = 0. }
 
-let stat_of_kind t kind =
-  List.fold_left
-    (fun acc s ->
-      if s.span_kind = kind then
-        {
-          ks_count = acc.ks_count + 1;
-          ks_bytes = acc.ks_bytes +. s.span_bytes;
-          ks_seconds = acc.ks_seconds +. (s.span_stop -. s.span_start);
-        }
-      else acc)
-    empty_stat t.spans
-
 (** Per-kind totals over all completed spans, in {!all_kinds} order,
-    kinds with no spans omitted. *)
+    kinds with no spans omitted.  One pass over the newest-first span
+    list, so each kind's float sums add in that order. *)
 let by_kind t =
+  let count = Array.make nkinds 0 in
+  let bytes = Array.make nkinds 0. in
+  let seconds = Array.make nkinds 0. in
+  List.iter
+    (fun s ->
+      let i = kind_index s.span_kind in
+      count.(i) <- count.(i) + 1;
+      bytes.(i) <- bytes.(i) +. s.span_bytes;
+      seconds.(i) <- seconds.(i) +. (s.span_stop -. s.span_start))
+    t.spans;
   List.filter_map
     (fun k ->
-      let s = stat_of_kind t k in
-      if s.ks_count = 0 then None else Some (k, s))
+      let i = kind_index k in
+      if count.(i) = 0 then None
+      else
+        Some
+          (k, { ks_count = count.(i); ks_bytes = bytes.(i);
+                ks_seconds = seconds.(i) }))
     all_kinds
+
+let stat_of_kind t kind =
+  Option.value (List.assoc_opt kind (by_kind t)) ~default:empty_stat
 
 let bytes_of_kind t kind = (stat_of_kind t kind).ks_bytes
 let seconds_of_kind t kind = (stat_of_kind t kind).ks_seconds

@@ -24,6 +24,11 @@ val all_kinds : kind list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
+val per_kind : (kind -> 'a) -> kind -> 'a
+(** [per_kind f] evaluates [f] once on every kind; the returned
+    function looks the results up in constant time.  For names built
+    from a kind on a hot path. *)
+
 (** A completed span on the simulated clock. *)
 type span = {
   span_kind : kind;

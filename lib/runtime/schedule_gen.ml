@@ -258,8 +258,12 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
           let kernel_ids = Array.make n (-1) in
           let out_ids = ref [] in
           let repack_prev = ref [] in
+          let rj = "r" ^ string_of_int r ^ "." ^ string_of_int j ^ " b" in
           for blk = 0 to n - 1 do
             let ud, us = grid.(blk mod nunits) in
+            (* "r%d.%d b%d", built without Printf: this loop lays down
+               every block of every offload instance *)
+            let rjb = rj ^ string_of_int blk in
             (* host-side regularization of this block, if any *)
             let repack_dep =
               match repack with
@@ -276,7 +280,7 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
                   bump "runtime.repacks";
                   let id =
                     add ~deps
-                      ~label:(Printf.sprintf "repack r%d.%d b%d" r j blk)
+                      ~label:("repack " ^ rjb)
                       ~resource:Task.Cpu_exec ~kind:Obs.Repack
                       ~duration:repack_s_per_block ()
                   in
@@ -294,7 +298,7 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
             let t_in =
               add
                 ~deps:(!prev @ repack_dep @ buffer_dep)
-                ~label:(Printf.sprintf "h2d r%d.%d b%d" r j blk)
+                ~label:("h2d " ^ rjb)
                 ~resource:(Task.Pcie_h2d ud) ~kind:Obs.H2d ~bytes:in_blk
                 ~duration:(Cost.transfer_time ?obs cfg Cost.H2d ~bytes:in_blk)
                 ()
@@ -308,7 +312,7 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
             bump (if persistent then "runtime.signals" else "runtime.launches");
             let t_k =
               add ~deps:k_deps
-                ~label:(Printf.sprintf "kernel r%d.%d b%d" r j blk)
+                ~label:("kernel " ^ rjb)
                 ~resource:(Task.Mic_exec (ud, us))
                 ~kind:Obs.Kernel
                 ~duration:(per_block_overhead +. compute_blk)
@@ -317,7 +321,7 @@ let tasks ?obs ?alive cfg (shape : P.shape) (strategy : P.strategy) :
             kernel_ids.(blk) <- t_k;
             let t_out =
               add ~deps:[ t_k ]
-                ~label:(Printf.sprintf "d2h r%d.%d b%d" r j blk)
+                ~label:("d2h " ^ rjb)
                 ~resource:(Task.Pcie_d2h ud) ~kind:Obs.D2h ~bytes:out_blk
                 ~duration:(Cost.transfer_time ?obs cfg Cost.D2h ~bytes:out_blk)
                 ()

@@ -310,4 +310,47 @@ let suite =
         let obs = Obs.create () in
         ignore (Runtime.Replay.of_program ~obs prog);
         Obs.unclosed obs = [] && Obs.count obs "runtime.launches" > 0);
+    tc "by_kind matches a per-kind fold bit for bit" (fun () ->
+        (* the sink a serve daemon accumulates: one private sink per
+           simulate, merged in order *)
+        let acc = Obs.create () in
+        List.iter
+          (fun w ->
+            List.iter
+              (fun v ->
+                let o = Obs.create () in
+                ignore (Comp.simulate ~obs:o w v);
+                Obs.merge acc o)
+              [ Comp.Cpu_parallel; Comp.Mic_naive; Comp.Mic_optimized ])
+          Workloads.Registry.all;
+        (* the per-kind fold by_kind replaced: one walk of the
+           newest-first span list per kind *)
+        let newest_first = List.rev (Obs.spans acc) in
+        let reference =
+          List.filter_map
+            (fun k ->
+              let count, bytes, seconds =
+                List.fold_left
+                  (fun ((c, b, s) as a) (sp : Obs.span) ->
+                    if sp.span_kind = k then
+                      (c + 1, b +. sp.span_bytes,
+                       s +. (sp.span_stop -. sp.span_start))
+                    else a)
+                  (0, 0., 0.) newest_first
+              in
+              if count = 0 then None
+              else
+                Some (k, count, Int64.bits_of_float bytes,
+                      Int64.bits_of_float seconds))
+            Obs.all_kinds
+        in
+        let got =
+          List.map
+            (fun (k, (s : Obs.kind_stat)) ->
+              (k, s.ks_count, Int64.bits_of_float s.ks_bytes,
+               Int64.bits_of_float s.ks_seconds))
+            (Obs.by_kind acc)
+        in
+        Alcotest.(check bool) "several kinds" true (List.length got > 3);
+        Alcotest.(check bool) "same stats" true (got = reference));
   ]
