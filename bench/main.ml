@@ -373,6 +373,7 @@ let micro () =
   let region = List.hd (Analysis.Offload_regions.offloaded prog) in
   let shape = (Workloads.Registry.find_exn "blackscholes").shape in
   let kmeans = Workloads.Registry.find_exn "kmeans" in
+  let kmeans_tune = Tune.prepare ~max_devices:4 ~max_streams:2 kmeans in
   let img, objs =
     let t = Runtime.Segbuf.create ~seg_cells:256 () in
     let objs =
@@ -409,6 +410,12 @@ let micro () =
         (Staged.stage (fun () ->
              ignore
                (Comp.simulate ~obs:(Obs.create ()) kmeans Comp.Mic_optimized)));
+      (* the two halves of a perfbench tune_fleet op, uncached *)
+      Test.make ~name:"tune prepare kmeans (4x2)"
+        (Staged.stage (fun () ->
+             ignore (Tune.prepare ~max_devices:4 ~max_streams:2 kmeans)));
+      Test.make ~name:"tune run kmeans (4x2)"
+        (Staged.stage (fun () -> ignore (Tune.run ~jobs:1 kmeans_tune)));
       Test.make ~name:"xptr delta translation (512 ptrs)"
         (Staged.stage (fun () ->
              Array.iter

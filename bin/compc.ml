@@ -45,6 +45,14 @@ let die_usage msg =
 
 let or_die = function Ok v -> v | Error msg -> die_usage msg
 
+(* --auto traces the program by running it: a run-time failure there
+   is the program's, reported (exit 1) as plain [run] reports it *)
+let prepare_or_die prepare =
+  try prepare ()
+  with Tune.Program_failed { msg; _ } ->
+    Printf.eprintf "runtime error: %s\n" msg;
+    exit 1
+
 (* --- --faults SPEC (shared by --profile and check) --- *)
 
 let fault_conv =
@@ -270,7 +278,9 @@ let optimize_cmd =
       if not auto then nblocks
       else begin
         let pre =
-          Tune.prepare_program ~max_devices:1 ~max_streams:1 ~name:file prog
+          prepare_or_die (fun () ->
+              Tune.prepare_program ~max_devices:1 ~max_streams:1 ~name:file
+                prog)
         in
         let rep = Tune.run pre in
         Printf.eprintf
@@ -397,8 +407,9 @@ let run_cmd =
             scales
         in
         let pre =
-          Tune.prepare_program ~base ~max_devices:devices
-            ~max_streams:streams ~name:file prog
+          prepare_or_die (fun () ->
+              Tune.prepare_program ~base ~max_devices:devices
+                ~max_streams:streams ~name:file prog)
         in
         let rep = Tune.run pre in
         let c = rep.Tune.r_best.Tune.pt_config in

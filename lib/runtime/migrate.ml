@@ -95,8 +95,13 @@ type outcome = {
 (* one failed placement attempt ended in device death *)
 exception Died of { dev : int; at : float; failures : int }
 
-let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
-    outcome =
+(* The scheduling loop behind both entry points.  With [record], every
+   placed task is kept with its formatted label and the outcome carries
+   the full engine result; without, the result holds only the
+   makespan, kept as the same [Float.max] fold from [0.] that
+   [Engine.result_of_placed] does, so the two agree to the bit. *)
+let simulate ~record ?obs ?(params = Replay.default_params) (cfg : Config.t)
+    events : outcome =
   let devices = max 1 cfg.Config.devices in
   let streams = max 1 cfg.Config.streams in
   let blocks = Array.of_list (blocks_of_events events) in
@@ -120,29 +125,33 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
   let unit_free = Array.make_matrix devices streams 0. in
   let host_free = ref 0. in
   let placed = ref [] in
+  let makespan = ref 0. in
   let next_id = ref 0 in
   let bytes_moved = ref 0. in
   let place ?(kind = Obs.Kernel) ?(bytes = 0.) ~label ~resource ~start
       ~finish () =
-    let id = !next_id in
-    incr next_id;
-    placed :=
-      {
-        Engine.task =
-          {
-            Task.id;
-            label;
-            resource;
-            duration = finish -. start;
-            deps = [];
-            kind = Some kind;
-            bytes;
-            reset_xfer_s = 0.;
-          };
-        start;
-        finish;
-      }
-      :: !placed
+    makespan := Float.max !makespan finish;
+    if record then begin
+      let id = !next_id in
+      incr next_id;
+      placed :=
+        {
+          Engine.task =
+            {
+              Task.id;
+              label = label ();
+              resource;
+              duration = finish -. start;
+              deps = [];
+              kind = Some kind;
+              bytes;
+              reset_xfer_s = 0.;
+            };
+          start;
+          finish;
+        }
+        :: !placed
+    end
   in
   (* migration bookkeeping *)
   let assigned = Array.make (max 1 n) (0, 0) in
@@ -267,8 +276,9 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
               bytes_moved :=
                 !bytes_moved +. (float_of_int rep.Fault.xr_failures *. bytes);
               place ~kind:Obs.Retry
-                ~label:(Printf.sprintf "blk%d %s (device died)" blk
-                          (Task.resource_name resource))
+                ~label:(fun () ->
+                  Printf.sprintf "blk%d %s (device died)" blk
+                    (Task.resource_name resource))
                 ~resource ~start ~finish:at ();
               raise
                 (Died { dev; at; failures = rep.Fault.xr_failures })
@@ -282,13 +292,14 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
       chan.(dev) <- finish;
       bytes_moved := !bytes_moved +. wire;
       place ~kind ~bytes
-        ~label:
-          (Printf.sprintf "blk%d %s" blk (Task.resource_name resource))
+        ~label:(fun () ->
+          Printf.sprintf "blk%d %s" blk (Task.resource_name resource))
         ~resource ~start ~finish:(start +. busy) ();
       if recovery > 0. then
         place ~kind:Obs.Retry
-          ~label:(Printf.sprintf "blk%d %s+recovery" blk
-                    (Task.resource_name resource))
+          ~label:(fun () ->
+            Printf.sprintf "blk%d %s+recovery" blk
+              (Task.resource_name resource))
           ~resource ~start:(start +. busy) ~finish ();
       (finish, busy +. recovery -. dur)
     end
@@ -344,12 +355,12 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
     let kfinish = kstart +. kbusy +. krecovery in
     unit_free.(d).(s) <- kfinish;
     place ~kind:Obs.Kernel
-      ~label:(Printf.sprintf "blk%d kernel" b.blk_id)
+      ~label:(fun () -> Printf.sprintf "blk%d kernel" b.blk_id)
       ~resource:(Task.Mic_exec (d, s))
       ~start:kstart ~finish:(kstart +. kbusy) ();
     if krecovery > 0. then
       place ~kind:Obs.Retry
-        ~label:(Printf.sprintf "blk%d kernel+recovery" b.blk_id)
+        ~label:(fun () -> Printf.sprintf "blk%d kernel+recovery" b.blk_id)
         ~resource:(Task.Mic_exec (d, s))
         ~start:(kstart +. kbusy) ~finish:kfinish ();
     let finish, _ =
@@ -446,7 +457,8 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
                 let finish = start +. dur in
                 host_free := finish;
                 place ~kind:Obs.Retry
-                  ~label:(Printf.sprintf "blk%d cpu-fallback" bj.blk_id)
+                  ~label:(fun () ->
+                    Printf.sprintf "blk%d cpu-fallback" bj.blk_id)
                   ~resource:Task.Cpu_exec ~start ~finish ();
                 executed.(j) <-
                   Some
@@ -472,14 +484,17 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
            | None -> invalid_arg "Migrate.schedule: unexecuted block")
          (Array.sub executed 0 n))
   in
-  let completion =
-    List.sort
-      (fun (a : Engine.placed) b ->
-        compare (a.finish, a.task.Task.id) (b.finish, b.task.Task.id))
-      (List.rev !placed)
+  let m_result =
+    if record then
+      Engine.result_of_placed
+        (List.sort
+           (fun (a : Engine.placed) b ->
+             compare (a.finish, a.task.Task.id) (b.finish, b.task.Task.id))
+           (List.rev !placed))
+    else { Engine.placed = []; makespan = !makespan; busy = [] }
   in
   {
-    m_result = Engine.result_of_placed completion;
+    m_result;
     m_placements = placements;
     m_migrated = !migrated;
     m_dead = !dead;
@@ -487,6 +502,9 @@ let schedule ?obs ?(params = Replay.default_params) (cfg : Config.t) events :
     m_bytes_moved = !bytes_moved;
   }
 
-(** Makespan convenience. *)
+let schedule ?obs ?params cfg events =
+  simulate ~record:true ?obs ?params cfg events
+
+(** The makespan alone: the same loop, building no schedule. *)
 let makespan ?obs ?params cfg events =
-  (schedule ?obs ?params cfg events).m_result.Engine.makespan
+  (simulate ~record:false ?obs ?params cfg events).m_result.Engine.makespan

@@ -58,3 +58,7 @@ val makespan :
   Machine.Config.t ->
   Minic.Interp.event list ->
   float
+(** [(schedule cfg events).m_result.makespan], bit for bit, from the
+    same scheduling loop, but building no schedule: no placed tasks, no
+    labels, no completion sort.  Raises {!Fault.Device_dead} exactly
+    when {!schedule} does. *)

@@ -278,11 +278,11 @@ let search ?jobs ?obs ?cache ?(cache_prefix = "") ?(mode = Auto)
 
 (** {1 Workload glue}
 
-    Preparing a workload runs the compiler once per candidate block
-    count, dedupes the resulting programs (many [nblocks] lower to the
-    same source), interprets each distinct program once for its event
-    trace, and hands the search an [eval]/[keyfn] pair over those
-    traces. *)
+    Preparing a workload runs the compiler once if streaming leaves the
+    program alone (every [nblocks] then lowers to the same program) and
+    once per candidate block count otherwise, interprets each lowered
+    program once for its event trace, and hands the search an
+    [eval]/[keyfn] pair over those traces. *)
 
 (* the machine parameters a trace's replay cost depends on — part of
    every cross-search cache key *)
@@ -355,32 +355,33 @@ let seed_nblocks ?obs ?block_cache (cfg : Config.t) sp events =
   in
   match best with None -> Comp.default_nblocks | Some (_, n) -> n
 
+exception Program_failed of { name : string; msg : string }
+
 let prepare_program ?(base = Config.paper_default) ?nblocks ?obs ?block_cache
     ~max_devices ~max_streams ~name prog : prepared =
   let sp = space ?nblocks ~max_devices ~max_streams () in
-  let texts : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let traces = ref [] and ntraces = ref 0 in
-  let trace_of_nblocks =
-    List.map
-      (fun nb ->
-        let optimized, _ = Comp.optimize ~nblocks:nb prog in
-        let text = Minic.Pretty.program_to_string optimized in
-        match Hashtbl.find_opt texts text with
-        | Some idx -> (nb, idx)
-        | None ->
-            let events =
-              match Minic.Compile_eval.run_compiled optimized with
-              | Ok o -> o.Minic.Interp.events
-              | Error e -> failwith (Printf.sprintf "tune: %s: %s" name e)
-            in
-            let idx = !ntraces in
-            incr ntraces;
-            Hashtbl.add texts text idx;
-            traces := events :: !traces;
-            (nb, idx))
-      sp.sp_nblocks
+  let trace_at nb =
+    let optimized, applied = Comp.optimize ~nblocks:nb prog in
+    match Minic.Compile_eval.run_compiled optimized with
+    | Ok o -> (o.Minic.Interp.events, applied.Comp.streamed)
+    | Error msg -> raise (Program_failed { name; msg })
   in
-  let traces = Array.of_list (List.rev !traces) in
+  (* streaming is the only pass that reads [nblocks], and whether it
+     fires does not depend on it: a program it leaves alone lowers the
+     same at every count, while a streamed one carries the count as a
+     literal, so no two counts lower alike *)
+  let traces, trace_of_nblocks =
+    match sp.sp_nblocks with
+    | [] -> invalid_arg "Tune.prepare_program: empty block-count axis"
+    | nb0 :: rest ->
+        let first, streamed = trace_at nb0 in
+        if streamed = 0 then
+          ([ first ], List.map (fun nb -> (nb, 0)) sp.sp_nblocks)
+        else
+          ( first :: List.map (fun nb -> fst (trace_at nb)) rest,
+            List.mapi (fun i nb -> (nb, i)) sp.sp_nblocks )
+  in
+  let traces = Array.of_list traces in
   let default_trace =
     traces.(List.assoc Comp.default_nblocks trace_of_nblocks)
   in

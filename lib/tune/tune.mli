@@ -109,6 +109,10 @@ type prepared = {
       (** analytic {!Transforms.Block_size} seed for the hill search *)
 }
 
+exception Program_failed of { name : string; msg : string }
+(** The program named [name] failed at run time with the interpreter's
+    message [msg]. *)
+
 val prepare_program :
   ?base:Machine.Config.t ->
   ?nblocks:int list ->
@@ -119,10 +123,14 @@ val prepare_program :
   name:string ->
   Minic.Ast.program ->
   prepared
-(** Compile the program once per candidate block count, dedupe the
-    lowered programs, interpret each distinct one for its trace, and
-    derive the analytic block-count seed (via the memoized
-    {!Transforms.Block_size.Cache}). *)
+(** Compile and interpret the program for its event traces, and derive
+    the analytic block-count seed (via the memoized
+    {!Transforms.Block_size.Cache}).  Streaming is the only pass that
+    reads the block count: when it leaves the program alone, one
+    pipeline run at the first candidate gives the one trace every
+    candidate shares; when it fires, the pipeline runs once per
+    candidate, in candidate order, one trace each.  Raises
+    {!Program_failed} when the optimized program fails at run time. *)
 
 val prepare :
   ?base:Machine.Config.t ->

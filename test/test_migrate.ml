@@ -37,6 +37,149 @@ let conserved ?(blocks = 3) m =
   | None -> ()
   | Some msg -> Alcotest.failf "conservation violated: %s" msg
 
+(* Inputs for the [makespan] = [schedule] property: a random trace
+   (staged inputs, resident liabilities, outputs, waits), a 1-4 device
+   x 1-3 stream fleet with per-device [cores]/[bw] scales, either
+   duplex, and a fault spec mixing transfer failures and retries,
+   killed transfers and early death, resets placed inside the clean
+   makespan, and either fallback policy. *)
+type makespan_case = {
+  mc_devices : int;
+  mc_streams : int;
+  mc_half : bool;
+  mc_scales : (int * float * float) list;
+  mc_events : Minic.Interp.event list;
+  mc_xfer : float;
+  mc_retries : int;
+  mc_dead_after : int;
+  mc_kills : (int option * int) list;  (** [devN:] prefix, transfer index *)
+  mc_resets : (int option * float) list;  (** fraction of clean makespan *)
+  mc_fallback : bool;
+  mc_seed : int;
+}
+
+(* the case's fault spec, with each reset at its fraction of [clean] *)
+let makespan_case_spec c ~clean =
+  let prefix = function Some d -> Printf.sprintf "dev%d:" d | None -> "" in
+  String.concat ","
+    ([
+       Printf.sprintf "seed=%d" c.mc_seed;
+       Printf.sprintf "retries=%d" c.mc_retries;
+       Printf.sprintf "dead-after=%d" c.mc_dead_after;
+       (if c.mc_fallback then "fallback" else "no-fallback");
+     ]
+    @ (if c.mc_xfer > 0. then [ Printf.sprintf "xfer=%g" c.mc_xfer ] else [])
+    @ List.map
+        (fun (d, i) -> Printf.sprintf "%skill@%d" (prefix d) i)
+        c.mc_kills
+    @ List.map
+        (fun (d, f) -> Printf.sprintf "%sreset@%.9f" (prefix d) (f *. clean))
+        c.mc_resets)
+
+let arb_makespan_case =
+  let open QCheck.Gen in
+  let block =
+    let* h2d = int_range 0 200 in
+    let* res = oneof [ return 0; int_range 1 100 ] in
+    let* work = int_range 1 2000 in
+    let* d2h = int_range 0 200 in
+    let* wait = bool in
+    return
+      (List.concat
+         [
+           [
+             Minic.Interp.Ev_transfer
+               { h2d_cells = h2d; d2h_cells = 0; signal = None };
+           ];
+           (if res > 0 then [ Minic.Interp.Ev_resident { cells = res } ]
+            else []);
+           (if wait then [ Minic.Interp.Ev_wait 0 ] else []);
+           [ Minic.Interp.Ev_kernel { work; wait = None } ];
+           [
+             Minic.Interp.Ev_transfer
+               { h2d_cells = 0; d2h_cells = d2h; signal = None };
+           ];
+         ])
+  in
+  let gen =
+    let* devices = int_range 1 4 in
+    let* streams = int_range 1 3 in
+    let* half = bool in
+    let* scales =
+      list_size (int_range 0 devices)
+        (triple (int_range 0 (devices - 1))
+           (oneofl [ 0.25; 0.5; 1.0; 2.0 ])
+           (oneofl [ 0.5; 1.0; 1.5 ]))
+    in
+    let* events = map List.concat (list_size (int_range 0 12) block) in
+    let dev = opt ~ratio:0.6 (int_range 0 (devices - 1)) in
+    let* xfer = oneofl [ 0.; 0.1; 0.3 ] in
+    let* retries = int_range 0 3 in
+    let* dead_after = int_range 1 3 in
+    let* kills = list_size (int_range 0 2) (pair dev (int_range 0 20)) in
+    let* resets = list_size (int_range 0 2) (pair dev (float_range 0. 1.)) in
+    let* fallback = bool in
+    let* seed = int_range 0 1000 in
+    return
+      {
+        mc_devices = devices;
+        mc_streams = streams;
+        mc_half = half;
+        mc_scales = scales;
+        mc_events = events;
+        mc_xfer = xfer;
+        mc_retries = retries;
+        mc_dead_after = dead_after;
+        mc_kills = kills;
+        mc_resets = resets;
+        mc_fallback = fallback;
+        mc_seed = seed;
+      }
+  in
+  let print c =
+    Printf.sprintf "%dx%d%s scales=[%s] faults=%s (resets x clean makespan) \
+                    events=%d"
+      c.mc_devices c.mc_streams
+      (if c.mc_half then " half-duplex" else "")
+      (String.concat ";"
+         (List.map
+            (fun (d, cores, bw) -> Printf.sprintf "dev%d:%g/%g" d cores bw)
+            c.mc_scales))
+      (makespan_case_spec c ~clean:1.)
+      (List.length c.mc_events)
+  in
+  QCheck.make ~print gen
+
+(* the case's machine and fault spec; resets land inside the clean
+   makespan so they hit the schedule *)
+let makespan_case_cfg c =
+  let base =
+    Machine.Config.with_scales
+      (Machine.Config.with_devices cfg ~devices:c.mc_devices
+         ~streams:c.mc_streams)
+      (List.map
+         (fun (d, cores, bw) ->
+           (d, { Machine.Config.sc_cores = cores; sc_bw = bw }))
+         c.mc_scales)
+  in
+  let base =
+    if c.mc_half then
+      {
+        base with
+        Machine.Config.pcie =
+          { base.Machine.Config.pcie with duplex = Machine.Config.Half_duplex };
+      }
+    else base
+  in
+  let clean = Migrate.makespan base c.mc_events in
+  Machine.Config.with_faults base (spec_ok (makespan_case_spec c ~clean))
+
+let makespan_bits_or_death f =
+  match f () with
+  | m -> Ok (Int64.bits_of_float m)
+  | exception Fault.Device_dead { dev; at; failures } ->
+      Error (dev, Int64.bits_of_float at, failures)
+
 let suite =
   [
     tc "blocks_of_events cuts the trace at kernels" (fun () ->
@@ -268,4 +411,11 @@ let suite =
         && Float.is_finite m.Migrate.m_result.Machine.Engine.makespan
         && (m.Migrate.m_fellback || devices > 1
            || m.Migrate.m_dead = []));
+    prop "makespan is schedule's makespan, bit for bit, or the same death"
+      ~count:300 arb_makespan_case (fun c ->
+        let mcfg = makespan_case_cfg c in
+        makespan_bits_or_death (fun () -> Migrate.makespan mcfg c.mc_events)
+        = makespan_bits_or_death (fun () ->
+              (Migrate.schedule mcfg c.mc_events).Migrate.m_result
+                .Machine.Engine.makespan));
   ]

@@ -302,6 +302,96 @@ let test_tune_cache_shared () =
       Alcotest.failf "expected >= %d cache hits, got %s" r1.Tune.r_explored
         (match h with Some h -> string_of_int h | None -> "none")
 
+(* ------------------------------------------------------------------ *)
+(* Preparation against the printed-text reference                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Tune.prepare_program] must give {!Tune_ref}'s traces, in the same
+   order, the same nblocks -> trace map and the same seed; a program
+   that fails at run time must fail both with the same message *)
+let same_as_ref ~what ?base ?nblocks ~max_devices ~max_streams prog =
+  let got =
+    match
+      Tune.prepare_program ?base ?nblocks ~max_devices ~max_streams ~name:what
+        prog
+    with
+    | p -> Ok p
+    | exception Tune.Program_failed { msg; _ } -> Error msg
+  in
+  match
+    (Tune_ref.prepare_program ?base ?nblocks ~max_devices ~max_streams prog, got)
+  with
+  | Ok r, Ok p ->
+      Alcotest.(check int)
+        (what ^ ": trace count")
+        (Array.length r.Tune_ref.p_traces)
+        (Array.length p.Tune.p_traces);
+      if r.Tune_ref.p_traces <> p.Tune.p_traces then
+        Alcotest.failf "%s: traces differ" what;
+      Alcotest.(check (list (pair int int)))
+        (what ^ ": trace of nblocks")
+        r.Tune_ref.p_trace_of_nblocks p.Tune.p_trace_of_nblocks;
+      Alcotest.(check int)
+        (what ^ ": seed") r.Tune_ref.p_seed_nblocks p.Tune.p_seed_nblocks
+  | Error a, Error b -> Alcotest.(check string) (what ^ ": failure") a b
+  | Ok _, Error e -> Alcotest.failf "%s: only the new code failed: %s" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the reference failed: %s" what e
+
+let test_prepare_registry () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let prog = Workloads.Workload.program w in
+      List.iter
+        (fun (grid, nblocks) ->
+          List.iter
+            (fun (max_devices, max_streams) ->
+              same_as_ref
+                ~what:
+                  (Printf.sprintf "%s %s %dx%d" w.Workloads.Workload.name grid
+                     max_devices max_streams)
+                ?nblocks ~max_devices ~max_streams prog)
+            [ (4, 2); (1, 1) ])
+        [ ("default", None); ("[3;7;20]", Some [ 3; 7; 20 ]) ])
+    Workloads.Registry.all
+
+let test_prepare_generated () =
+  let gens =
+    [
+      ("streamable", Gen.streamable_program);
+      ("stencil", Gen.stencil_program);
+      ("inout", Gen.inout_program);
+    ]
+  in
+  List.iter
+    (fun (name, gen) ->
+      List.iter
+        (fun (n, seed) ->
+          same_as_ref
+            ~what:(Printf.sprintf "%s n=%d seed=%d" name n seed)
+            ~max_devices:2 ~max_streams:2
+            (parse (gen ~n ~seed)))
+        [ (3, 0); (17, 5); (40, 11) ])
+    gens;
+  List.iter
+    (fun pat ->
+      for seed = 0 to 3 do
+        same_as_ref
+          ~what:
+            (Printf.sprintf "genprog %s seed=%d"
+               (Check.Genprog.pattern_name pat)
+               seed)
+          ~max_devices:2 ~max_streams:2
+          (parse (Check.Genprog.generate pat ~seed))
+      done)
+    Check.Genprog.all_patterns
+
+let test_prepare_failure () =
+  (* writes past the end of [a]: the run fails before any trace *)
+  same_as_ref ~what:"out of bounds" ~max_devices:1 ~max_streams:1
+    (parse
+       "int main(void) { int a[4]; for (int i = 0; i < 8; i++) { a[i] = i; \
+        } return 0; }")
+
 let suite =
   [
     tc "fleet spec parses devices, streams, sticky devN: scales"
@@ -324,4 +414,10 @@ let suite =
     tc "block cache counts hits and misses" test_block_cache_counters;
     tc "shared tune cache answers a repeat search without simulating"
       test_tune_cache_shared;
+    tc "prepare equals the printed-text reference on the registry"
+      test_prepare_registry;
+    tc "prepare equals the printed-text reference on generated programs"
+      test_prepare_generated;
+    tc "a failing program fails prepare with the reference's message"
+      test_prepare_failure;
   ]
