@@ -374,6 +374,10 @@ let micro () =
   let shape = (Workloads.Registry.find_exn "blackscholes").shape in
   let kmeans = Workloads.Registry.find_exn "kmeans" in
   let kmeans_tune = Tune.prepare ~max_devices:4 ~max_streams:2 kmeans in
+  let sim_kmeans = {|{"cmd":"simulate","bench":"kmeans"}|} in
+  let warm = Serve.create () in
+  ignore (Serve.handle_line warm sim_kmeans);
+  ignore (Serve.finish warm);
   let img, objs =
     let t = Runtime.Segbuf.create ~seg_cells:256 () in
     let objs =
@@ -410,6 +414,19 @@ let micro () =
         (Staged.stage (fun () ->
              ignore
                (Comp.simulate ~obs:(Obs.create ()) kmeans Comp.Mic_optimized)));
+      (* the same request through the daemon: a fresh daemon fills its
+         simulate table; a warm one replays the cached sink *)
+      Test.make ~name:"serve simulate kmeans (first)"
+        (Staged.stage (fun () ->
+             let t = Serve.create () in
+             ignore (Serve.handle_line t sim_kmeans);
+             ignore (Serve.finish t)));
+      Test.make ~name:"serve simulate kmeans (repeat)"
+        (Staged.stage (fun () ->
+             (* keep the merged sink from growing across runs *)
+             Obs.reset (Serve.obs warm);
+             ignore (Serve.handle_line warm sim_kmeans);
+             ignore (Serve.finish warm)));
       (* the two halves of a perfbench tune_fleet op, uncached *)
       Test.make ~name:"tune prepare kmeans (4x2)"
         (Staged.stage (fun () ->
@@ -1095,18 +1112,17 @@ let serve_sweep () =
     let body = List.concat_map (Serve.handle_line t) lines in
     let tail = Serve.finish t in
     let wall_s = Unix.gettimeofday () -. t0 in
-    (body @ tail, wall_s, Serve.latencies t, Serve.cache_hits t,
-     Serve.cache_misses t)
+    (body @ tail, wall_s, Serve.latencies t, t)
   in
   (* one warmup pass, then best-of-3 wall clock (the min-timing idiom
      the micro benches use): responses are deterministic per width, so
      only the timing needs the repetitions *)
   let run_width w =
     ignore (run_once w);
-    let (responses, w1, lats, hits, misses) = run_once w in
-    let (_, w2, _, _, _) = run_once w in
-    let (_, w3, _, _, _) = run_once w in
-    (responses, Float.min w1 (Float.min w2 w3), lats, hits, misses)
+    let (responses, w1, lats, t) = run_once w in
+    let (_, w2, _, _) = run_once w in
+    let (_, w3, _, _) = run_once w in
+    (responses, Float.min w1 (Float.min w2 w3), lats, t)
   in
   let failures = ref 0 in
   let fail fmt =
@@ -1117,12 +1133,16 @@ let serve_sweep () =
       fmt
   in
   let baseline = ref [] in
-  Printf.printf "  %-6s %10s %12s %10s %10s %8s %8s %10s\n" "jobs"
-    "responses" "req/s" "p50 ms" "p99 ms" "hits" "misses" "identical";
+  Printf.printf "  %-6s %10s %12s %10s %10s %8s %8s %9s %10s %10s\n" "jobs"
+    "responses" "req/s" "p50 ms" "p99 ms" "hits" "misses" "sim-hits"
+    "sim-misses" "identical";
   let width_json =
     List.map
       (fun w ->
-        let responses, wall_s, lats, hits, misses = run_width w in
+        let responses, wall_s, lats, t = run_width w in
+        let hits = Serve.cache_hits t and misses = Serve.cache_misses t in
+        let sim_hits = Serve.simulate_hits t
+        and sim_misses = Serve.simulate_misses t in
         if w = List.hd serve_widths then baseline := responses;
         let identical = responses = !baseline in
         if List.length responses <> serve_requests then
@@ -1143,8 +1163,9 @@ let serve_sweep () =
         let rps = float_of_int serve_requests /. wall_s in
         let p50 = 1000. *. percentile 0.50 lats in
         let p99 = 1000. *. percentile 0.99 lats in
-        Printf.printf "  %-6d %10d %12.0f %10.3f %10.3f %8d %8d %10s\n" w
-          (List.length responses) rps p50 p99 hits misses
+        Printf.printf "  %-6d %10d %12.0f %10.3f %10.3f %8d %8d %9d %10d %10s\n"
+          w (List.length responses) rps p50 p99 hits misses sim_hits
+          sim_misses
           (if identical then "yes" else "NO");
         Obs.Json.Obj
           [
@@ -1154,6 +1175,8 @@ let serve_sweep () =
             ("p99_ms", Obs.Json.Float p99);
             ("cache_hits", Obs.Json.Int hits);
             ("cache_misses", Obs.Json.Int misses);
+            ("simulate_hits", Obs.Json.Int sim_hits);
+            ("simulate_misses", Obs.Json.Int sim_misses);
             ("identical_to_width1", Obs.Json.Bool identical);
           ])
       serve_widths

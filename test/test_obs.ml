@@ -126,6 +126,55 @@ let close a b =
   Float.abs (a -. b)
   <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
+(* A sink recipe: counters, histogram samples and completed spans over
+   small name pools, so a source and a destination share names. *)
+type sink_op =
+  | Incr of string * int
+  | Observe of string * float
+  | Span of Obs.kind * float * float
+
+let sink_op_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c" ] in
+  frequency
+    [
+      (2, map2 (fun n by -> Incr (n, by)) name (int_range 1 9));
+      (3, map2 (fun n v -> Observe (n, v)) name (float_range 0. 5000.));
+      ( 2,
+        map3
+          (fun k s d -> Span (k, s, s +. d))
+          (oneofl Obs.all_kinds) (float_range 0. 1.) (float_range 0. 1.) );
+    ]
+
+let build ops =
+  let o = Obs.create () in
+  List.iter
+    (function
+      | Incr (n, by) -> Obs.incr ~by o n
+      | Observe (n, v) -> Obs.observe o n v
+      | Span (k, start, stop) -> Obs.span o k ~label:"l" ~start ~stop)
+    ops;
+  o
+
+(* Everything a sink exposes, histogram buckets included. *)
+let snapshot o =
+  ( Obs.Json.to_string (Obs.to_json o),
+    List.map
+      (fun (n, (h : Obs.histogram)) -> (n, Array.to_list h.h_buckets))
+      (Obs.histograms o),
+    Obs.spans o )
+
+let arb_merge_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (src, dst, k) ->
+      Printf.sprintf "src ops %d, dst ops %d, k %d" (List.length src)
+        (List.length dst) k)
+    (triple
+       (list_size (int_range 0 12) sink_op_gen)
+       (list_size (int_range 0 12) sink_op_gen)
+       (int_range 1 4))
+
 let suite =
   [
     tc "counters accumulate and list sorted" (fun () ->
@@ -310,6 +359,19 @@ let suite =
         let obs = Obs.create () in
         ignore (Runtime.Replay.of_program ~obs prog);
         Obs.unclosed obs = [] && Obs.count obs "runtime.launches" > 0);
+    (* serve replays one cached simulate sink into every request of
+       its key, so merging must neither mutate nor alias [src] *)
+    prop "merging one src k times equals merging k fresh copies" ~count:200
+      arb_merge_case
+      (fun (src_ops, dst_ops, k) ->
+        let src = build src_ops in
+        let before = snapshot src in
+        let reused = build dst_ops and fresh = build dst_ops in
+        for _ = 1 to k do
+          Obs.merge reused src;
+          Obs.merge fresh (build src_ops)
+        done;
+        snapshot src = before && snapshot reused = snapshot fresh);
     tc "by_kind matches a per-kind fold bit for bit" (fun () ->
         (* the sink a serve daemon accumulates: one private sink per
            simulate, merged in order *)
