@@ -13,7 +13,6 @@ type config = {
   batch : int;
   max_fuel : int;
   max_time : float option;
-  timings : bool;
 }
 
 (* the fuel<->seconds exchange rate for --max-time: the compiled
@@ -28,7 +27,6 @@ let default_config =
     batch = 8;
     max_fuel = 10_000_000;
     max_time = None;
-    timings = false;
   }
 
 (* {1 Protocol} *)
@@ -58,7 +56,6 @@ type work = {
   w_id : J.t;  (** echoed back; client's ["id"] or the sequence number *)
   w_cmd : string;
   w_action : action;
-  w_enqueued : float;  (** wall clock at admission; used only for timings *)
 }
 
 type t = {
@@ -77,7 +74,6 @@ type t = {
   mutable stop : bool;
   mutable served_ok : int;
   mutable served_err : int;
-  mutable lats : float list;  (** newest first *)
 }
 
 let create ?(config = default_config) () =
@@ -95,7 +91,6 @@ let create ?(config = default_config) () =
     stop = false;
     served_ok = 0;
     served_err = 0;
-    lats = [];
   }
 
 let obs t = t.sink
@@ -103,7 +98,6 @@ let cache_hits t = CE.Source_cache.hits t.cache
 let cache_misses t = CE.Source_cache.misses t.cache
 let simulate_misses t = Hashtbl.length t.sims
 let simulate_hits t = t.simulates - simulate_misses t
-let latencies t = List.rev t.lats
 let shutdown_requested t = t.stop
 
 (* {1 Response construction} *)
@@ -324,8 +318,6 @@ let flush_queue t =
         Obs.merge t.sink o;
         if ok then t.served_ok <- t.served_ok + 1
         else t.served_err <- t.served_err + 1;
-        if t.cfg.timings then
-          t.lats <- (Unix.gettimeofday () -. items.(i).w_enqueued) :: t.lats;
         buffer t items.(i).w_seq line)
       results
   end
@@ -570,22 +562,11 @@ let handle_line t line =
                 (Printf.sprintf "admission queue is full (%d waiting)"
                    t.cfg.queue)
             else
-              (* stamped before [resolve]: a compile or simulate miss
-                 is part of the request's latency *)
-              let enqueued =
-                if t.cfg.timings then Unix.gettimeofday () else 0.
-              in
               match resolve t ~cmd ~src ~bench ~fuel ~variant with
               | Error (code, msg) -> reject t ~seq ~id code msg
               | Ok action ->
                   let wk =
-                    {
-                      w_seq = seq;
-                      w_id = id;
-                      w_cmd = cmd;
-                      w_action = action;
-                      w_enqueued = enqueued;
-                    }
+                    { w_seq = seq; w_id = id; w_cmd = cmd; w_action = action }
                   in
                   t.pending <- wk :: t.pending;
                   t.npending <- t.npending + 1;

@@ -46,9 +46,6 @@ type config = {
   max_time : float option;
       (** per-request wall budget in seconds, converted to fuel at
           2,000,000 statements/s; [None] = no time bound *)
-  timings : bool;
-      (** record per-request wall latencies (for {!latencies}; never
-          part of a response) *)
 }
 
 val default_config : config
@@ -64,8 +61,8 @@ val create : ?config:config -> unit -> t
 
 (** {1 Driving the server in-process}
 
-    [bench] and the tests drive these directly; the CLI wraps them in
-    {!serve_stdin} / {!serve_socket}. *)
+    [bench micro], [perfbench] and the tests drive these directly;
+    the CLI wraps them in {!serve_stdin} / {!serve_socket}. *)
 
 val handle_line : t -> string -> string list
 (** Feed one request line; returns the response lines that became
@@ -94,11 +91,7 @@ val simulate_misses : t -> int
 (** [simulate] requests answered from the per-(bench, variant) table,
     and those that filled it (at most 36).  Counted at admission, so
     they depend only on the request stream, never on [jobs] or
-    [batch]; they never appear in a response. *)
-
-val latencies : t -> float list
-(** Per-request wall latencies (seconds, admission to completion),
-    oldest first; empty unless [config.timings]. *)
+    [batch]; they never appear in a response.  For tests. *)
 
 (** {1 Transports} *)
 

@@ -165,9 +165,7 @@ let suite =
            span *order* is deliberately not commutative *)
         obs_json ab = obs_json ba);
     tc "per-task sinks merged in order equal the sequential sink" (fun () ->
-        let ws =
-          List.filteri (fun i _ -> i < 4) Workloads.Registry.all
-        in
+        let ws = Workloads.Registry.all in
         let seq = Obs.create () in
         List.iter
           (fun w -> ignore (Comp.schedule ~obs:seq w Comp.Mic_optimized))

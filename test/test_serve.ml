@@ -9,7 +9,7 @@ module J = Obs.Json
 
 let cfg ?jobs ?(queue = 64) ?(batch = 4) ?(max_fuel = 10_000_000) ?max_time
     () =
-  { Serve.jobs; queue; batch; max_fuel; max_time; timings = false }
+  { Serve.jobs; queue; batch; max_fuel; max_time }
 
 (* Feed a scripted session; responses come back in request order. *)
 let drive config lines =
